@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
 
   serve::EngineOptions eo;
   eo.shards = 2;
-  eo.base.max_wait_micros = 500;  // low-latency batching on one core
   serve::SnapshotManager manager(world->matcher.get(), eo);
   if (auto st = manager.SwapIndex(BuildIndex(*world), "bench"); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -101,7 +101,6 @@ struct Arm {
 
 serve::ShardedServiceOptions ArmOptions(const std::string& name) {
   serve::ShardedServiceOptions o;
-  o.base.max_wait_micros = 0;  // lone caller: no batching
   if (name == "blackhole") {
     o.resilience.attempt_timeout_micros = 10000;
     o.resilience.max_attempts = 2;

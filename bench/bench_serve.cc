@@ -241,16 +241,9 @@ std::vector<ServiceArm> RunServiceArms(const ServiceWorld& w) {
   for (const char* mode : {"unbatched", "batched"}) {
     serve::MatchServiceOptions so;
     so.cache_capacity = 0;  // isolate the batching effect from the cache
-    if (std::string(mode) == "unbatched") {
-      so.max_batch = 1;
-      so.max_wait_micros = 0;
-    } else {
-      // max_batch matches the client count: the fill wait ends as soon
-      // as every in-flight client has submitted instead of stalling for
-      // the full deadline hoping for a 16th request that cannot come.
-      so.max_batch = clients;
-      so.max_wait_micros = 2000;
-    }
+    // Batched: requests queued while a batch runs join the next one,
+    // up to one per client.
+    so.max_batch = std::string(mode) == "unbatched" ? 1 : clients;
     serve::MatchService service(w.matcher.get(), &w.index, so);
     ServiceArm arm;
     arm.mode = mode;
@@ -280,7 +273,6 @@ std::vector<CacheArm> RunCacheArms(const ServiceWorld& w) {
     serve::MatchServiceOptions so;
     so.cache_capacity = capacity;
     so.max_batch = 8;
-    so.max_wait_micros = 1000;
     serve::MatchService service(w.matcher.get(), &w.index, so);
     CacheArm arm;
     arm.capacity = capacity;

@@ -1,22 +1,10 @@
-// MatchService — the online query engine of the serving layer.
+// MatchService — the single-index query engine of the serving layer.
 //
-// Requests (vertex id + top-k parameters) enter a bounded queue and a
-// single worker thread drains them in micro-batches: it collects up to
-// `max_batch` requests or waits at most `max_wait_micros` after the
-// oldest queued request arrived, whichever comes first, then runs one
-// CrossEm::EncodeVertices forward for every distinct uncached vertex in
-// the batch. Batching is where the throughput comes from — the text
-// tower's per-call overhead amortizes across the batch — and the wait
-// deadline caps the latency cost of waiting for peers.
-//
-// Admission control:
-//   * queue full         -> Status::Unavailable at Submit time
-//                           (backpressure: the caller sheds or retries)
-//   * service shut down  -> Status::Unavailable at Submit time
-//   * deadline expired   -> Status::DeadlineExceeded when dequeued or
-//                           after encoding (never silently dropped)
-//   * Shutdown()         -> stops admissions, drains every queued
-//                           request, then joins the worker (graceful).
+// The shared FrontEnd (serve/frontend.h) owns the queue, the
+// work-conserving micro-batching, the embedding cache and one
+// CrossEm::EncodeVertices call per batch; MatchService plugs in the
+// answer step: one EmbeddingIndex::Search per request, then the Eq. 4
+// tail below.
 //
 // Results carry matching probabilities from the Eq. 4 softmax applied
 // over the `probability_candidates` nearest images retrieved for the
@@ -28,93 +16,21 @@
 #ifndef CROSSEM_SERVE_SERVICE_H_
 #define CROSSEM_SERVE_SERVICE_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/crossem.h"
-#include "graph/graph.h"
-#include "obs/request_trace.h"
 #include "serve/cache.h"
+#include "serve/frontend.h"
 #include "serve/index.h"
 #include "serve/stats.h"
 #include "util/status.h"
 
 namespace crossem {
 namespace serve {
-
-struct MatchServiceOptions {
-  /// Max requests waiting in the queue; submits beyond this are
-  /// rejected with Status::Unavailable (backpressure).
-  int64_t max_queue = 256;
-  /// Micro-batch cap: the worker encodes at most this many distinct
-  /// vertices per EncodeVertices call.
-  int64_t max_batch = 16;
-  /// How long the worker may hold the oldest queued request to let a
-  /// batch fill up. 0 = never wait (every drain takes what is queued).
-  int64_t max_wait_micros = 2000;
-  /// LRU embedding-cache capacity; <= 0 disables caching.
-  int64_t cache_capacity = 4096;
-  /// Optional embedding-cache byte cap; 0 = entries-only capacity.
-  int64_t cache_max_bytes = 0;
-  /// Storage format of cached embeddings (quantized entries pack 2-3.5x
-  /// more vertices into the same bytes; dequantized on hit).
-  quant::QuantFormat cache_format = quant::QuantFormat::kF32;
-  /// Nearest images retrieved per query for the probability softmax
-  /// (clamped up to the request's k and down to the index size).
-  int64_t probability_candidates = 64;
-};
-
-/// The embedding-cache configuration a MatchServiceOptions implies.
-inline EmbeddingCacheOptions CacheOptionsFor(
-    const MatchServiceOptions& options) {
-  return EmbeddingCacheOptions{options.cache_capacity,
-                               options.cache_max_bytes,
-                               options.cache_format};
-}
-
-struct MatchRequest {
-  graph::VertexId vertex = 0;
-  /// Matches to return (top-k by similarity).
-  int64_t k = 1;
-  /// Drop matches whose Eq. 4 probability falls below this.
-  float min_probability = 0.0f;
-  /// Per-request deadline, microseconds from submit; 0 = none. A
-  /// request still queued (or just encoded) past its deadline completes
-  /// with Status::DeadlineExceeded.
-  int64_t deadline_micros = 0;
-  /// Request-scoped trace to record engine spans into (null = tracing
-  /// off for this request; every engine hook is then one pointer test).
-  std::shared_ptr<obs::RequestTrace> trace;
-  /// Parent span for the engine's spans (the ingress-side span id).
-  uint64_t parent_span_id = 0;
-};
-
-struct RankedMatch {
-  int64_t image = 0;        // row index in the serving index
-  std::string image_id;     // the index's external id for that row
-  float similarity = 0.0f;  // cosine similarity
-  float probability = 0.0f; // Eq. 4 softmax over the retrieved candidates
-};
-
-struct MatchResponse {
-  std::vector<RankedMatch> matches;
-  /// True when the vertex embedding came from the cache.
-  bool cache_hit = false;
-  /// Row-weighted fraction of the repository actually searched. Always
-  /// 1.0 from MatchService; ShardedMatchService lowers it when shards
-  /// are skipped, down, or out of time — the query still succeeds.
-  double coverage = 1.0;
-  /// True iff coverage < 1.0 (the explicit partial-result flag).
-  bool degraded = false;
-};
 
 namespace internal {
 
@@ -131,61 +47,50 @@ void AppendRankedMatches(const std::vector<eval::ScoredId>& found,
 
 }  // namespace internal
 
+/// MatchService's answer step: one index scan + the Eq. 4 tail.
+class IndexAnswerStep : public AnswerStep {
+ public:
+  /// `index` is borrowed and must outlive the step.
+  IndexAnswerStep(const EmbeddingIndex* index, float temperature)
+      : index_(index), temperature_(temperature) {}
+
+  int64_t dim() const override {
+    return index_->size() > 0 ? index_->dim() : 0;
+  }
+  void Answer(const MatchRequest& request, std::vector<float> query,
+              int64_t candidates, SearchDeadline deadline, uint64_t span_id,
+              MatchResponse* response) override;
+
+ private:
+  const EmbeddingIndex* index_;
+  const float temperature_;  // tau at construction
+};
+
 class MatchService {
  public:
   /// `matcher` and `index` are borrowed and must outlive the service.
-  /// The worker thread starts immediately.
+  /// The dispatch thread starts immediately.
   MatchService(const core::CrossEm* matcher, const EmbeddingIndex* index,
-               MatchServiceOptions options);
-  ~MatchService();  // implies Shutdown()
+               MatchServiceOptions options)
+      : step_(index, matcher->Temperature()),
+        front_(matcher, &step_, std::move(options), "MatchService") {}
 
-  MatchService(const MatchService&) = delete;
-  MatchService& operator=(const MatchService&) = delete;
+  /// See FrontEnd: Submit always resolves its future; Match blocks on
+  /// it; Shutdown stops admitting, drains, and joins (idempotent).
+  std::future<Result<MatchResponse>> Submit(const MatchRequest& request) {
+    return front_.Submit(request);
+  }
+  Result<MatchResponse> Match(const MatchRequest& request) {
+    return front_.Match(request);
+  }
+  void Shutdown() { front_.Shutdown(); }
 
-  /// Enqueue a request. The future is always eventually satisfied: with
-  /// a response, or with the rejection/expiry Status. Rejections
-  /// (queue full, shut down, invalid request) resolve immediately.
-  std::future<Result<MatchResponse>> Submit(const MatchRequest& request);
-
-  /// Convenience: Submit and block for the result.
-  Result<MatchResponse> Match(const MatchRequest& request);
-
-  /// Stop admitting, drain every queued request, join the worker.
-  /// Idempotent.
-  void Shutdown();
-
-  ServiceStats Snapshot() const { return stats_.Snapshot(); }
-  const EmbeddingCache& cache() const { return cache_; }
+  ServiceStats Snapshot() const { return front_.Snapshot(); }
+  const EmbeddingCache& cache() const { return front_.cache(); }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    MatchRequest request;
-    std::promise<Result<MatchResponse>> promise;
-    Clock::time_point submitted;
-    Clock::time_point deadline;  // time_point::max() when none
-  };
-
-  void WorkerLoop();
-  void ProcessBatch(std::vector<Pending> batch);
-
-  const core::CrossEm* matcher_;
-  const EmbeddingIndex* index_;
-  const MatchServiceOptions options_;
-  const uint32_t fingerprint_;   // encoder fingerprint at construction
-  const float temperature_;      // tau at construction
-
-  EmbeddingCache cache_;
-  StatsCollector stats_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool shutdown_ = false;
-  bool joined_ = false;  // exactly one Shutdown call joins the worker
-
-  std::thread worker_;
+  IndexAnswerStep step_;
+  FrontEnd front_;  // declared last: its thread uses step_
 };
 
 }  // namespace serve

@@ -10,10 +10,11 @@
 // eval::MergeTopK reproduces the unsharded flat scan bit for bit: the
 // tie order (score desc, id asc) is the global one.
 //
-// ShardedMatchService is the scatter-gather engine on top. Its front
-// half is MatchService's: bounded queue, micro-batched encoding, the
-// fingerprint-keyed embedding cache. The back half fans each query out
-// to every shard worker and wraps each shard call in:
+// ShardedMatchService is the scatter-gather engine on top: the shared
+// FrontEnd (serve/frontend.h — bounded queue, work-conserving
+// micro-batched encoding, the fingerprint-keyed embedding cache) in
+// front of ShardedAnswerStep, which fans each query out to every shard
+// worker and wraps each shard call in:
 //
 //   * deadline propagation — every attempt carries
 //     min(now + attempt_timeout, request deadline); shard searches
@@ -51,11 +52,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/crossem.h"
 #include "obs/request_trace.h"
 #include "serve/cache.h"
+#include "serve/frontend.h"
 #include "serve/index.h"
 #include "serve/service.h"
 #include "serve/stats.h"
@@ -128,7 +131,8 @@ bool ValidateShardResults(const std::vector<eval::ScoredId>& results,
 // -- Circuit breaker ---------------------------------------------------------
 
 /// Per-shard closed/open/half-open breaker. All mutation happens on the
-/// coordinator thread; state() is an atomic snapshot for monitors.
+/// coordinator (the front end's dispatch thread, running the gather);
+/// state() is an atomic snapshot for monitors.
 class CircuitBreaker {
  public:
   enum class State : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -201,13 +205,6 @@ struct ResilienceOptions {
   int64_t breaker_cooldown_micros = 250000;
 };
 
-struct ShardedServiceOptions {
-  /// Front-end knobs (queue, batching, cache, probability candidates) —
-  /// the same contract as MatchService.
-  MatchServiceOptions base;
-  ResilienceOptions resilience;
-};
-
 /// Counters of the resilience envelope since service start, plus the
 /// instantaneous per-shard breaker states.
 struct ResilienceStats {
@@ -225,42 +222,35 @@ struct ResilienceStats {
   std::string ToString() const;
 };
 
-/// Scatter-gather MatchService over a ShardedIndex. Same request and
-/// admission contract as MatchService; responses additionally carry
-/// coverage/degraded. Queries never fail because shards do.
-class ShardedMatchService {
+/// ShardedMatchService's answer step: scatter one query across the
+/// shards and gather under the resilience envelope. Owns the shard
+/// workers; Answer runs on the front end's dispatch thread.
+class ShardedAnswerStep : public AnswerStep {
  public:
-  /// `matcher` and `index` are borrowed and must outlive the service.
-  ShardedMatchService(const core::CrossEm* matcher, const ShardedIndex* index,
-                      ShardedServiceOptions options);
-  ~ShardedMatchService();  // implies Shutdown()
+  /// `index` is borrowed and must outlive the step. The shard workers
+  /// start immediately.
+  ShardedAnswerStep(const ShardedIndex* index, float temperature,
+                    ResilienceOptions options);
+  ~ShardedAnswerStep() override;  // implies Shutdown()
 
-  ShardedMatchService(const ShardedMatchService&) = delete;
-  ShardedMatchService& operator=(const ShardedMatchService&) = delete;
+  int64_t dim() const override {
+    return index_->size() > 0 ? index_->dim() : 0;
+  }
+  void Answer(const MatchRequest& request, std::vector<float> query,
+              int64_t candidates, SearchDeadline deadline, uint64_t span_id,
+              MatchResponse* response) override;
 
-  std::future<Result<MatchResponse>> Submit(const MatchRequest& request);
-  Result<MatchResponse> Match(const MatchRequest& request);
-
-  /// Stop admitting, drain queued requests, join coordinator and shard
-  /// workers. Idempotent.
+  /// Joins the shard workers, abandoning calls still queued. Call once
+  /// no Answer is running (after the front end drained). Idempotent.
   void Shutdown();
 
-  ServiceStats Snapshot() const { return stats_.Snapshot(); }
-  ResilienceStats ResilienceSnapshot() const;
-  const EmbeddingCache& cache() const { return cache_; }
+  ResilienceStats Snapshot() const;
   CircuitBreaker::State breaker_state(int64_t shard) const {
     return breakers_[shard]->state();
   }
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    MatchRequest request;
-    std::promise<Result<MatchResponse>> promise;
-    Clock::time_point submitted;
-    Clock::time_point deadline;  // time_point::max() when none
-  };
 
   /// Per-request gather rendezvous, shared (via shared_ptr) with every
   /// attempt so an abandoned attempt outliving the request stays safe.
@@ -304,16 +294,6 @@ class ShardedMatchService {
     obs::Histogram latency_us;
   };
 
-  void CoordinatorLoop();
-  void ProcessBatch(std::vector<Pending> batch);
-  /// Scatter one query across the shards, gather with the resilience
-  /// envelope, and fill matches/coverage/degraded of `response`.
-  void Gather(const std::shared_ptr<const std::vector<float>>& query,
-              int64_t candidates, int64_t query_seq,
-              Clock::time_point request_deadline, int64_t k,
-              float min_probability,
-              const std::shared_ptr<obs::RequestTrace>& trace,
-              uint64_t parent_span_id, MatchResponse* response);
   /// False when the shard queue is full (the attempt fails fast).
   bool Dispatch(const std::shared_ptr<ShardCall>& call);
   void ShardWorkerLoop(int64_t shard);
@@ -321,16 +301,11 @@ class ShardedMatchService {
   int64_t BackoffMicros(int64_t query_seq, int64_t shard,
                         int64_t attempt) const;
 
-  const core::CrossEm* matcher_;
   const ShardedIndex* index_;
-  const ShardedServiceOptions options_;
-  const uint32_t fingerprint_;
-  const float temperature_;
+  const float temperature_;  // tau at construction
+  const ResilienceOptions options_;
 
-  EmbeddingCache cache_;
-  StatsCollector stats_;
-
-  // Resilience accounting: per-service instruments backing the exact
+  // Resilience accounting: per-step instruments backing the exact
   // ResilienceStats snapshot, double-written into the process-wide
   // registry (resolved once at construction).
   struct ResilienceInstruments;
@@ -340,13 +315,52 @@ class ShardedMatchService {
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
   std::atomic<bool> shard_shutdown_{false};
   std::atomic<int64_t> query_seq_{0};
+  std::once_flag shutdown_once_;
+};
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool shutdown_ = false;
-  bool joined_ = false;
-  std::thread coordinator_;
+struct ShardedServiceOptions {
+  /// Front-end knobs (queue, batching, cache, probability candidates) —
+  /// the same contract as MatchService.
+  MatchServiceOptions base;
+  ResilienceOptions resilience;
+};
+
+/// Scatter-gather MatchService over a ShardedIndex. Same request and
+/// admission contract as MatchService; responses additionally carry
+/// coverage/degraded. Queries never fail because shards do.
+class ShardedMatchService {
+ public:
+  /// `matcher` and `index` are borrowed and must outlive the service.
+  ShardedMatchService(const core::CrossEm* matcher, const ShardedIndex* index,
+                      ShardedServiceOptions options)
+      : step_(index, matcher->Temperature(), options.resilience),
+        front_(matcher, &step_, std::move(options.base),
+               "ShardedMatchService") {}
+
+  std::future<Result<MatchResponse>> Submit(const MatchRequest& request) {
+    return front_.Submit(request);
+  }
+  Result<MatchResponse> Match(const MatchRequest& request) {
+    return front_.Match(request);
+  }
+
+  /// Stop admitting, drain queued requests, join the dispatch thread and
+  /// the shard workers. Idempotent.
+  void Shutdown() {
+    front_.Shutdown();
+    step_.Shutdown();
+  }
+
+  ServiceStats Snapshot() const { return front_.Snapshot(); }
+  ResilienceStats ResilienceSnapshot() const { return step_.Snapshot(); }
+  const EmbeddingCache& cache() const { return front_.cache(); }
+  CircuitBreaker::State breaker_state(int64_t shard) const {
+    return step_.breaker_state(shard);
+  }
+
+ private:
+  ShardedAnswerStep step_;
+  FrontEnd front_;  // declared last: its thread uses step_
 };
 
 }  // namespace serve

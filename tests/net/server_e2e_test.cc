@@ -90,7 +90,6 @@ class ServerE2eFixture : public ::testing::Test {
   static serve::EngineOptions FastOptions(int64_t shards) {
     serve::EngineOptions eo;
     eo.shards = shards;
-    eo.base.max_wait_micros = 200;
     return eo;
   }
 
@@ -417,7 +416,7 @@ TEST_F(ServerE2eFixture, MetricsServeJsonOnRequest) {
   auto stack = BootStack(OpenAdmission(), 1, /*swap_index=*/true);
   HttpClient client("127.0.0.1", stack->server->port());
 
-  for (const std::string target :
+  for (const std::string& target :
        {std::string("/metrics?format=json"), std::string("/metrics")}) {
     const bool json = target.find("json") != std::string::npos;
     auto response =

@@ -84,7 +84,6 @@ class SnapshotFixture : public ::testing::Test {
   static EngineOptions FastOptions(int64_t shards) {
     EngineOptions eo;
     eo.shards = shards;
-    eo.base.max_wait_micros = 200;  // low-latency batching for tests
     return eo;
   }
 

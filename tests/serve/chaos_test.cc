@@ -139,11 +139,7 @@ core::CrossEm* ChaosFixture::matcher_ = nullptr;
 FlatIndex* ChaosFixture::index_ = nullptr;
 std::vector<int64_t>* ChaosFixture::row_class_ = nullptr;
 
-ShardedServiceOptions QuickOptions() {
-  ShardedServiceOptions o;
-  o.base.max_wait_micros = 0;  // no batching for lone callers
-  return o;
-}
+ShardedServiceOptions QuickOptions() { return ShardedServiceOptions(); }
 
 TEST_F(ChaosFixture, PartitionCoversEveryRowExactlyOnce) {
   auto sharded = MakeShards(4);
@@ -197,9 +193,7 @@ TEST_F(ChaosFixture, FaultFreeBitwiseIdenticalToSingleService) {
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string(c.name) + " @" + std::to_string(threads) +
                    " threads");
-      MatchServiceOptions so;
-      so.max_wait_micros = 0;
-      MatchService single(matcher_, c.single, so);
+      MatchService single(matcher_, c.single, MatchServiceOptions());
       ShardedMatchService sharded(matcher_, c.sharded, QuickOptions());
       for (int64_t q = 0; q < std::min<int64_t>(NumClasses(), 12); ++q) {
         MatchRequest request;

@@ -1,20 +1,26 @@
 // MatchService behavior on a real (small, untuned) CrossEm: answer
 // correctness against the offline matcher, micro-batching under
-// concurrent clients, queue-full backpressure, per-request deadlines,
-// cache reuse, and graceful shutdown drain. The ctest TSan re-run
-// exercises the same suite with an 8-thread pool.
+// concurrent clients, per-request deadlines and cache reuse. The
+// front end's queue-full backpressure, retry hint, shutdown drain and
+// work-conserving dispatch are pinned deterministically by holding each
+// engine's answer step on a latch. The ctest TSan re-run exercises the
+// same suite with an 8-thread pool.
 #include "serve/service.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "clip/clip.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "serve/frontend.h"
 #include "serve/index.h"
+#include "serve/sharded.h"
 #include "text/tokenizer.h"
 #include "util/status.h"
 
@@ -86,7 +92,6 @@ FlatIndex* MatchServiceFixture::index_ = nullptr;
 
 TEST_F(MatchServiceFixture, AnswersMatchOfflineRanking) {
   MatchServiceOptions so;
-  so.max_wait_micros = 0;  // no batching needed for a lone caller
   MatchService service(matcher_, index_, so);
 
   MatchRequest request;
@@ -123,7 +128,6 @@ TEST_F(MatchServiceFixture, AnswersMatchOfflineRanking) {
 
 TEST_F(MatchServiceFixture, MinProbabilityFiltersTail) {
   MatchServiceOptions so;
-  so.max_wait_micros = 0;
   MatchService service(matcher_, index_, so);
 
   MatchRequest request;
@@ -146,7 +150,6 @@ TEST_F(MatchServiceFixture, MinProbabilityFiltersTail) {
 TEST_F(MatchServiceFixture, ConcurrentClientsAllComplete) {
   MatchServiceOptions so;
   so.max_batch = 8;
-  so.max_wait_micros = 3000;
   MatchService service(matcher_, index_, so);
 
   constexpr int kClients = 8;
@@ -178,87 +181,16 @@ TEST_F(MatchServiceFixture, ConcurrentClientsAllComplete) {
   EXPECT_EQ(stats.completed, kClients * kPerClient);
   EXPECT_EQ(stats.rejected_queue_full, 0);
   EXPECT_EQ(stats.expired_deadline, 0);
-  // Concurrency + the fill window must have produced real batches.
+  // Requests queued while a batch runs join the next one, so
+  // concurrency alone must have produced real batches.
   EXPECT_LT(stats.batches, stats.completed);
   EXPECT_GT(stats.batch_size_mean, 1.0);
   // Only |entities| distinct vertices exist, so the cache must have hit.
   EXPECT_GT(stats.cache_hits, 0);
 }
 
-TEST_F(MatchServiceFixture, QueueFullRejectsWithUnavailable) {
-  MatchServiceOptions so;
-  so.max_queue = 2;
-  so.max_batch = 64;             // never reached
-  so.max_wait_micros = 300000;   // worker holds the batch open 300ms
-  MatchService service(matcher_, index_, so);
-
-  MatchRequest request;
-  request.vertex = Vertex(0);
-  // While the worker sits in its fill window, the queue caps at 2:
-  // every submit beyond that must bounce immediately.
-  std::vector<std::future<Result<MatchResponse>>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(service.Submit(request));
-  int rejected = 0;
-  for (auto& f : futures) {
-    auto result = f.get();
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
-          << result.status().ToString();
-      // The rejection is actionable: it names the queue depth and a
-      // retry-after hint so clients can back off intelligently.
-      EXPECT_NE(result.status().message().find("queue full"),
-                std::string::npos)
-          << result.status().ToString();
-      EXPECT_NE(result.status().message().find("of 2 pending"),
-                std::string::npos)
-          << result.status().ToString();
-      EXPECT_NE(result.status().message().find("retry after"),
-                std::string::npos)
-          << result.status().ToString();
-      ++rejected;
-    }
-  }
-  EXPECT_GE(rejected, 3);  // at most 2 queued + 1 already claimed
-  service.Shutdown();
-  ServiceStats stats = service.Snapshot();
-  EXPECT_EQ(stats.rejected_queue_full, rejected);
-  EXPECT_EQ(stats.completed + stats.rejected_queue_full, 6);
-}
-
-TEST_F(MatchServiceFixture, QueueFullRetryHintIsClampedToDeadline) {
-  MatchServiceOptions so;
-  so.max_queue = 2;
-  so.max_batch = 64;
-  so.max_wait_micros = 300000;  // natural drain hint: 300ms
-  MatchService service(matcher_, index_, so);
-
-  MatchRequest request;
-  request.vertex = Vertex(0);
-  request.deadline_micros = 5000;  // but the client only has 5ms left
-  std::vector<std::future<Result<MatchResponse>>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(service.Submit(request));
-  int rejected = 0;
-  for (auto& f : futures) {
-    auto result = f.get();
-    if (result.ok() ||
-        result.status().code() != StatusCode::kUnavailable) {
-      continue;  // completed, or expired while queued — not this test
-    }
-    // A retry hint past the request's own deadline is wasted work on
-    // both sides: the 300ms drain estimate must shrink to the 5ms
-    // budget.
-    EXPECT_NE(result.status().message().find("retry after 5000us"),
-              std::string::npos)
-        << result.status().ToString();
-    ++rejected;
-  }
-  EXPECT_GE(rejected, 3);
-  service.Shutdown();
-}
-
 TEST_F(MatchServiceFixture, DeadlineExpiryIsReported) {
   MatchServiceOptions so;
-  so.max_wait_micros = 50000;  // plenty of time for 1us deadlines to age out
   MatchService service(matcher_, index_, so);
 
   MatchRequest request;
@@ -270,31 +202,6 @@ TEST_F(MatchServiceFixture, DeadlineExpiryIsReported) {
       << result.status().ToString();
   service.Shutdown();
   EXPECT_EQ(service.Snapshot().expired_deadline, 1);
-}
-
-TEST_F(MatchServiceFixture, ShutdownDrainsQueuedRequests) {
-  MatchServiceOptions so;
-  so.max_batch = 4;
-  so.max_wait_micros = 500000;  // queue builds up while the worker waits
-  MatchService service(matcher_, index_, so);
-
-  std::vector<std::future<Result<MatchResponse>>> futures;
-  for (int i = 0; i < 10; ++i) {
-    MatchRequest request;
-    request.vertex = Vertex(static_cast<size_t>(i));
-    request.k = 2;
-    futures.push_back(service.Submit(request));
-  }
-  // Graceful drain: every admitted request completes, none are dropped.
-  service.Shutdown();
-  for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.value().matches.size(), 2u);
-  }
-  ServiceStats stats = service.Snapshot();
-  EXPECT_EQ(stats.received, 10);
-  EXPECT_EQ(stats.completed, 10);
 }
 
 TEST_F(MatchServiceFixture, SubmitAfterShutdownIsRejected) {
@@ -339,7 +246,6 @@ TEST_F(MatchServiceFixture, CacheHitOnRepeatAndHnswBackendInterchangeable) {
   ASSERT_TRUE(hnsw.Add(embeddings, ids).ok());
 
   MatchServiceOptions so;
-  so.max_wait_micros = 0;
   MatchService service(matcher_, &hnsw, so);
 
   MatchRequest request;
@@ -359,6 +265,268 @@ TEST_F(MatchServiceFixture, CacheHitOnRepeatAndHnswBackendInterchangeable) {
   }
   service.Shutdown();
   EXPECT_EQ(service.Snapshot().cache_hits, 1);
+}
+
+/// A test fake at the front end's seam: every Answer waits on a latch
+/// until Release(), then runs the engine's real answer step.
+class LatchedStep : public AnswerStep {
+ public:
+  explicit LatchedStep(AnswerStep* real) : real_(real) {}
+
+  int64_t dim() const override { return real_->dim(); }
+  void Answer(const MatchRequest& request, std::vector<float> query,
+              int64_t candidates, SearchDeadline deadline, uint64_t span_id,
+              MatchResponse* response) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    real_->Answer(request, std::move(query), candidates, deadline, span_id,
+                  response);
+  }
+
+  /// Blocks until `n` Answer calls have started.
+  void WaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+  /// Closes the latch again (later Answers wait) or opens it.
+  void Hold() { Set(false); }
+  void Release() { Set(true); }
+
+ private:
+  void Set(bool released) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = released;
+    cv_.notify_all();
+  }
+
+  AnswerStep* real_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool released_ = false;
+};
+
+/// One engine's real answer step (MatchService's index scan, or the
+/// sharded engine's gather over a 2-shard split) behind a front end
+/// whose answers wait on a LatchedStep.
+struct LatchedEngine {
+  LatchedEngine(bool sharded, const core::CrossEm* matcher,
+                const EmbeddingIndex* index, MatchServiceOptions options)
+      : real(MakeStep(sharded, matcher, index, &shards)),
+        latch(real.get()),
+        front(matcher, &latch, std::move(options),
+              sharded ? "ShardedMatchService" : "MatchService") {}
+  ~LatchedEngine() {
+    latch.Release();
+    front.Shutdown();
+  }
+
+  static std::unique_ptr<AnswerStep> MakeStep(
+      bool sharded, const core::CrossEm* matcher, const EmbeddingIndex* index,
+      std::unique_ptr<ShardedIndex>* shards) {
+    if (!sharded) {
+      return std::make_unique<IndexAnswerStep>(index, matcher->Temperature());
+    }
+    ShardedIndexOptions so;
+    so.num_shards = 2;
+    auto parts = ShardedIndex::Partition(*index, so);
+    EXPECT_TRUE(parts.ok()) << parts.status().ToString();
+    *shards = parts.MoveValue();
+    return std::make_unique<ShardedAnswerStep>(
+        shards->get(), matcher->Temperature(), ResilienceOptions());
+  }
+
+  std::unique_ptr<ShardedIndex> shards;
+  std::unique_ptr<AnswerStep> real;
+  LatchedStep latch;
+  FrontEnd front;
+};
+
+/// Holds one request in the answer step, then fills the 2-slot queue
+/// behind it: every further submit must bounce with the depth and a
+/// retry hint. Before any completion the hint is the fixed floor.
+TEST_F(MatchServiceFixture, QueueFullRejectsWithUnavailable) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single");
+    MatchServiceOptions so;
+    so.max_queue = 2;
+    LatchedEngine engine(sharded, matcher_, index_, so);
+
+    MatchRequest request;
+    request.vertex = Vertex(0);
+    std::vector<std::future<Result<MatchResponse>>> admitted;
+    admitted.push_back(engine.front.Submit(request));
+    engine.latch.WaitEntered(1);
+    admitted.push_back(engine.front.Submit(request));
+    admitted.push_back(engine.front.Submit(request));
+    for (int i = 0; i < 3; ++i) {
+      auto result = engine.front.Submit(request).get();
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+      // Actionable: names the queue depth and when to come back.
+      EXPECT_NE(result.status().message().find("queue full (2 of 2 pending)"),
+                std::string::npos)
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find(
+                    "retry after " + std::to_string(kRetryAfterFloorMicros) +
+                    "us"),
+                std::string::npos)
+          << result.status().ToString();
+    }
+    engine.latch.Release();
+    for (auto& f : admitted) {
+      auto result = f.get();
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    }
+    engine.front.Shutdown();
+    ServiceStats stats = engine.front.Snapshot();
+    EXPECT_EQ(stats.rejected_queue_full, 3);
+    EXPECT_EQ(stats.received, 3);
+    EXPECT_EQ(stats.completed, 3);
+  }
+}
+
+/// The retry hint is the observed p50 completion latency (the floor
+/// before any completion), never past the request's own deadline.
+TEST_F(MatchServiceFixture, QueueFullRetryHintIsClampedToDeadline) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single");
+    MatchServiceOptions so;
+    so.max_queue = 1;
+    LatchedEngine engine(sharded, matcher_, index_, so);
+
+    MatchRequest request;
+    request.vertex = Vertex(1);
+    MatchRequest hurried = request;
+    auto hint = [&](int64_t deadline_micros) {
+      hurried.deadline_micros = deadline_micros;
+      auto result = engine.front.Submit(hurried).get();
+      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+      return result.status().message();
+    };
+    auto fill = [&](int entered) {
+      std::vector<std::future<Result<MatchResponse>>> admitted;
+      admitted.push_back(engine.front.Submit(request));
+      engine.latch.WaitEntered(entered);
+      admitted.push_back(engine.front.Submit(request));
+      return admitted;
+    };
+
+    // No completion yet: the floor, or the deadline when shorter.
+    auto first = fill(1);
+    EXPECT_NE(hint(0).find("retry after " +
+                           std::to_string(kRetryAfterFloorMicros) + "us"),
+              std::string::npos);
+    EXPECT_NE(hint(kRetryAfterFloorMicros / 2)
+                  .find("retry after " +
+                        std::to_string(kRetryAfterFloorMicros / 2) + "us"),
+              std::string::npos);
+    engine.latch.Release();
+    for (auto& f : first) ASSERT_TRUE(f.get().ok());
+
+    // Completions seen: the p50, or the deadline when shorter.
+    engine.latch.Hold();
+    auto second = fill(3);
+    const int64_t p50 = engine.front.Snapshot().latency_p50_us;
+    ASSERT_GT(p50, 1);
+    EXPECT_NE(hint(0).find("retry after " + std::to_string(p50) + "us"),
+              std::string::npos)
+        << "p50 " << p50;
+    EXPECT_NE(hint(1).find("retry after 1us"), std::string::npos);
+    engine.latch.Release();
+    for (auto& f : second) ASSERT_TRUE(f.get().ok());
+  }
+}
+
+/// Shutdown closes admissions at once but answers every request already
+/// queued before it joins.
+TEST_F(MatchServiceFixture, ShutdownDrainsQueuedRequests) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single");
+    MatchServiceOptions so;
+    so.max_batch = 4;
+    LatchedEngine engine(sharded, matcher_, index_, so);
+
+    std::vector<std::future<Result<MatchResponse>>> futures;
+    auto submit = [&](size_t i) {
+      MatchRequest request;
+      request.vertex = Vertex(i);
+      request.k = 2;
+      return engine.front.Submit(request);
+    };
+    futures.push_back(submit(0));
+    engine.latch.WaitEntered(1);
+    for (size_t i = 1; i < 10; ++i) futures.push_back(submit(i));
+
+    std::thread stopper([&] { engine.front.Shutdown(); });
+    // Probe until admissions close; probes admitted before that join
+    // the drain like any other queued request.
+    for (size_t i = 10;; ++i) {
+      std::future<Result<MatchResponse>> probe = submit(i);
+      if (probe.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+        futures.push_back(std::move(probe));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        continue;
+      }
+      auto rejected = probe.get();
+      if (!rejected.ok() && rejected.status().message().find(
+                                "queue full") != std::string::npos) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        continue;  // the stopper has not run yet and the probes piled up
+      }
+      EXPECT_NE(rejected.status().message().find("is shut down"),
+                std::string::npos)
+          << rejected.status().ToString();
+      break;
+    }
+    engine.latch.Release();
+    stopper.join();
+
+    for (auto& f : futures) {
+      auto result = f.get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().matches.size(), 2u);
+    }
+    ServiceStats stats = engine.front.Snapshot();
+    EXPECT_EQ(stats.received, static_cast<int64_t>(futures.size()));
+    EXPECT_EQ(stats.completed, static_cast<int64_t>(futures.size()));
+    EXPECT_EQ(stats.rejected_shutdown, 1);
+  }
+}
+
+/// Work-conserving dispatch: nothing waits for a batch to fill, and
+/// everything queued while a batch runs leaves as the next batch.
+TEST_F(MatchServiceFixture, RequestsQueuedDuringABatchFormTheNextBatch) {
+  constexpr int kQueued = 7;
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single");
+    MatchServiceOptions so;
+    so.max_batch = 16;
+    LatchedEngine engine(sharded, matcher_, index_, so);
+
+    std::vector<std::future<Result<MatchResponse>>> futures;
+    MatchRequest request;
+    request.vertex = Vertex(2);
+    futures.push_back(engine.front.Submit(request));
+    engine.latch.WaitEntered(1);
+    for (int i = 0; i < kQueued; ++i) {
+      request.vertex = Vertex(static_cast<size_t>(3 + i));
+      futures.push_back(engine.front.Submit(request));
+    }
+    engine.latch.Release();
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+    engine.front.Shutdown();
+
+    ServiceStats stats = engine.front.Snapshot();
+    EXPECT_EQ(stats.completed, kQueued + 1);
+    EXPECT_EQ(stats.batches, 2);  // the held one, then all kQueued at once
+    EXPECT_DOUBLE_EQ(stats.batch_size_mean, (kQueued + 1) / 2.0);
+  }
 }
 
 }  // namespace

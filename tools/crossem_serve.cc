@@ -22,7 +22,7 @@
 //   crossem_serve stdin-batch --table NAME=FILE.csv [--json FILE]
 //       --index repo.cidx --model model.ckpt
 //       [--k N] [--clients N] [--deadline-us N] [--max-batch N]
-//       [--max-wait-us N] [--queue N] [--patch-dim D] [--max-patches P]
+//       [--queue N] [--patch-dim D] [--max-patches P]
 //     Reads entity labels from stdin (one per line) and serves them
 //     through N concurrent client threads — the micro-batching,
 //     admission-control path production traffic takes. Per-request
@@ -109,7 +109,6 @@ struct Args {
   int64_t clients = 4;
   int64_t deadline_us = 0;
   int64_t max_batch = 16;
-  int64_t max_wait_us = 2000;
   int64_t queue = 256;
   int64_t cache = 4096;
   int64_t cache_bytes = 0;     // optional embedding-cache byte cap
@@ -148,7 +147,7 @@ void PrintUsage() {
       "               [--patch-dim D] [--max-patches P]\n"
       "  stdin-batch  --table NAME=FILE.csv [--json FILE] --index FILE\n"
       "               --model FILE [--k N] [--clients N] [--deadline-us N]\n"
-      "               [--max-batch N] [--max-wait-us N] [--queue N]\n"
+      "               [--max-batch N] [--queue N]\n"
       "               [--cache N] [--patch-dim D] [--max-patches P]\n"
       "  http         --table NAME=FILE.csv [--json FILE] --index FILE\n"
       "               --model FILE [--host ADDR] [--port N]\n"
@@ -245,8 +244,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!next_i64(&args->deadline_us)) return false;
     } else if (flag == "--max-batch") {
       if (!next_i64(&args->max_batch)) return false;
-    } else if (flag == "--max-wait-us") {
-      if (!next_i64(&args->max_wait_us)) return false;
     } else if (flag == "--queue") {
       if (!next_i64(&args->queue)) return false;
     } else if (flag == "--cache") {
@@ -532,7 +529,6 @@ int BuildEngine(const Args& args, Setup* s, Engine* engine) {
   }
   serve::EngineOptions eo;
   eo.base.max_batch = args.max_batch;
-  eo.base.max_wait_micros = args.max_wait_us;
   eo.base.max_queue = args.queue;
   eo.base.cache_capacity = args.cache;
   eo.base.cache_max_bytes = args.cache_bytes;
